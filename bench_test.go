@@ -153,9 +153,10 @@ func BenchmarkFig9Stragglers(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameCodec measures the wire codec itself: Diff → Encode →
-// Decode → Apply round trips on a 24-parameter SVM-sized update with half
-// the parameters withheld (§IV-C frame formats).
+// BenchmarkFrameCodec measures the wire codec itself: DiffInto → EncodeTo
+// → DecodeInto → Apply round trips, through reused buffers as the round
+// body runs them, on a 24-parameter SVM-sized update with half the
+// parameters withheld (§IV-C frame formats).
 func BenchmarkFrameCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const p = 24
@@ -170,22 +171,22 @@ func BenchmarkFrameCodec(b *testing.B) {
 		}
 	}
 	dst := make([]float64, p)
+	var u, got codec.Update
+	var frame []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, err := codec.Diff(0, i, baseline, current, 0)
-		if err != nil {
+		if err := codec.DiffInto(&u, 0, i, baseline, current, 0); err != nil {
 			b.Fatal(err)
 		}
-		frame, _, err := codec.Encode(u)
-		if err != nil {
+		var err error
+		if frame, _, err = codec.EncodeTo(frame, &u); err != nil {
 			b.Fatal(err)
 		}
-		got, err := codec.Decode(frame)
-		if err != nil {
+		if err := codec.DecodeInto(&got, frame); err != nil {
 			b.Fatal(err)
 		}
 		copy(dst, baseline)
-		if err := codec.Apply(dst, got); err != nil {
+		if err := codec.Apply(dst, &got); err != nil {
 			b.Fatal(err)
 		}
 	}

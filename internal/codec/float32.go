@@ -35,17 +35,10 @@ func ChooseFormat32(n, m int) Format {
 	return FormatIndexValue32
 }
 
-// EncodeLossy serializes u with float32 values in the cheaper float32
-// format. Values are rounded to float32 — the receiver reconstructs them
-// with ~1e-7 relative error, which is orders of magnitude below SNAP's
-// send thresholds.
-func EncodeLossy(u *Update) ([]byte, Format, error) {
-	return EncodeLossyTo(nil, u)
-}
-
-// EncodeLossyTo is EncodeLossy into a caller-owned buffer: the frame is
-// appended to buf[:0] (buf may be nil) and returned; see EncodeTo for
-// the ownership rule.
+// EncodeLossyTo serializes u with float32 values in the cheaper float32
+// format, with EncodeTo's buffer-ownership rule. Values are rounded to
+// float32 — the receiver reconstructs them with ~1e-7 relative error,
+// which is orders of magnitude below SNAP's send thresholds.
 //
 //snap:alloc-free
 func EncodeLossyTo(buf []byte, u *Update) ([]byte, Format, error) {

@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// TestEncodeToMatchesEncode pins the buffer-reusing encoders to the
-// allocating ones byte-for-byte, across formats and withheld fractions.
+// TestEncodeToMatchesEncode pins the encoders writing into a warm, reused
+// buffer to a fresh encode byte-for-byte, across formats and withheld
+// fractions: leftovers of a longer earlier frame must never leak through.
 func TestEncodeToMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf []byte
 	for trial := 0; trial < 50; trial++ {
 		u := randomUpdate(rng, 1+rng.Intn(64))
 
-		want, wantF, err := Encode(u)
+		want, wantF, err := EncodeTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,10 +26,10 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotF != wantF || !bytes.Equal(buf, want) {
-			t.Fatalf("trial %d: EncodeTo (format %v) differs from Encode (format %v)", trial, gotF, wantF)
+			t.Fatalf("trial %d: warm EncodeTo (format %v) differs from a fresh one (format %v)", trial, gotF, wantF)
 		}
 
-		wantL, wantLF, err := EncodeLossy(u)
+		wantL, wantLF, err := EncodeLossyTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,13 +38,14 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotF != wantLF || !bytes.Equal(buf, wantL) {
-			t.Fatalf("trial %d: EncodeLossyTo differs from EncodeLossy", trial)
+			t.Fatalf("trial %d: warm EncodeLossyTo differs from a fresh one", trial)
 		}
 	}
 }
 
 // TestDecodeIntoMatchesDecode round-trips random updates through a
-// single reused Update across all four wire formats.
+// single reused Update across all four wire formats, checking each
+// decode against one into a fresh Update.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var u Update
@@ -53,14 +55,14 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			var frame []byte
 			var err error
 			if lossy {
-				frame, _, err = EncodeLossy(orig)
+				frame, _, err = EncodeLossyTo(nil, orig)
 			} else {
-				frame, _, err = Encode(orig)
+				frame, _, err = EncodeTo(nil, orig)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Decode(frame)
+			want, err := decodeNew(frame)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +89,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // unchanged-index lists must be strictly increasing on the wire.
 func TestDecodeIntoRejectsUnsortedUnchanged(t *testing.T) {
 	u := &Update{Sender: 1, Round: 2, NumParams: 6, Indices: []int{0, 3, 5}, Values: []float64{1, 2, 3}}
-	frame, err := EncodeAs(u, FormatUnchangedList)
+	frame, err := EncodeAsTo(nil, u, FormatUnchangedList)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +98,13 @@ func TestDecodeIntoRejectsUnsortedUnchanged(t *testing.T) {
 	bad := append([]byte(nil), frame...)
 	copy(bad[17:21], frame[21:25])
 	copy(bad[21:25], frame[17:21])
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("Decode accepted out-of-order unchanged indices")
+	if _, err := decodeNew(bad); err == nil {
+		t.Fatal("DecodeInto accepted out-of-order unchanged indices")
 	}
 }
 
-// TestDiffIntoMatchesDiff pins DiffInto to Diff with a reused Update.
+// TestDiffIntoMatchesDiff pins DiffInto into a reused Update to DiffInto
+// into a fresh one.
 func TestDiffIntoMatchesDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var u Update
@@ -114,7 +117,7 @@ func TestDiffIntoMatchesDiff(t *testing.T) {
 			current[i] = baseline[i] + rng.NormFloat64()*0.1
 		}
 		threshold := rng.Float64() * 0.1
-		want, err := Diff(3, trial, baseline, current, threshold)
+		want, err := diffNew(3, trial, baseline, current, threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,22 +183,5 @@ func TestCodecReuseAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("DiffInto allocated %v times per run, want 0", n)
-	}
-}
-
-// TestUpdatePoolResets verifies the pool hands back cleared updates.
-func TestUpdatePoolResets(t *testing.T) {
-	u := GetUpdate()
-	u.Sender, u.Round, u.NumParams = 7, 9, 5
-	u.Indices = append(u.Indices, 1, 2)
-	u.Values = append(u.Values, 0.5, 0.25)
-	PutUpdate(u)
-	PutUpdate(nil) // must be a no-op
-
-	got := GetUpdate()
-	defer PutUpdate(got)
-	if got.Sender != 0 || got.Round != 0 || got.NumParams != 0 ||
-		len(got.Indices) != 0 || len(got.Values) != 0 {
-		t.Fatalf("pooled update not reset: %+v", got)
 	}
 }

@@ -172,14 +172,14 @@ func TestAPEZeroInitDegradesToSnapZero(t *testing.T) {
 	snap := build(SendSelected)
 	snap0 := build(SendChanged)
 
-	step := func(engines []*Engine, round int) [][]byte {
+	exchange := func(engines []*Engine, round int) [][]byte {
 		frames := make([][]byte, n)
 		for i, e := range engines {
 			u, err := e.BuildUpdate(round)
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, _, err := codec.Encode(u)
+			frame, _, err := codec.EncodeTo(nil, u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,23 +188,23 @@ func TestAPEZeroInitDegradesToSnapZero(t *testing.T) {
 		for i, e := range engines {
 			var updates []*codec.Update
 			for _, j := range g.Neighbors(i) {
-				u, err := codec.Decode(frames[j])
+				u, err := decodeForTest(frames[j])
 				if err != nil {
 					t.Fatal(err)
 				}
 				updates = append(updates, u)
 			}
-			if err := e.Integrate(updates); err != nil {
+			if err := integrate(e, updates); err != nil {
 				t.Fatal(err)
 			}
-			e.Step(round)
+			step(e, round)
 		}
 		return frames
 	}
 
 	for round := 0; round < rounds; round++ {
-		fa := step(snap, round)
-		fb := step(snap0, round)
+		fa := exchange(snap, round)
+		fb := exchange(snap0, round)
 		for i := range fa {
 			if !bytes.Equal(fa[i], fb[i]) {
 				t.Fatalf("round %d node %d: zero-init SNAP frame differs from SNAP-0", round, i)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
@@ -152,31 +151,23 @@ type Cluster struct {
 	// runners are the persistent per-engine worker goroutines: one
 	// long-lived goroutine per node driven over a command channel, so a
 	// round costs two channel round-trips per node instead of 2N
-	// goroutine spawns. Each runner also owns the node's encode buffer
-	// and decoded-update scratch.
+	// goroutine spawns. Each runner runs its node's round body with the
+	// gradient inline.
 	runners    []*engineRunner
 	avgScratch linalg.Vector // reusable mean-parameter buffer for eval
 }
 
-// roundCmd tells a runner which phase of which round to execute.
-type roundCmd struct {
-	phase int // 1 = build/encode/broadcast, 2 = collect/integrate/step
-	round int
+// engineRunner is one node's persistent worker: cmd carries the round,
+// and whether to run the body's send (phase 1) or finish (phase 2).
+type engineRunner struct {
+	node *nodeRound
+	cmd  chan roundCmd
+	done chan error
 }
 
-// engineRunner is one node's persistent worker state.
-type engineRunner struct {
-	eng *Engine
-	// nbrs caches the node's neighbor ids (ascending) for the broadcast
-	// loop: Sim.Neighbors returns a fresh copy per call, and querying it
-	// every round was the simulator hot path's dominant allocation.
-	nbrs []int
-	enc  []byte // reusable wire-frame buffer
-	// decoded backs the per-frame decode targets, sized to the node's
-	// degree up front; slot i holds the round's i-th arrived frame.
-	decoded []codec.Update
-	cmd     chan roundCmd
-	done    chan error
+type roundCmd struct {
+	round int
+	send  bool
 }
 
 // startRunners launches the per-engine worker goroutines (idempotent).
@@ -189,21 +180,23 @@ func (c *Cluster) startRunners() {
 		nbrs := c.net.Neighbors(e.ID())
 		sort.Ints(nbrs)
 		r := &engineRunner{
-			eng:     e,
-			nbrs:    nbrs,
-			decoded: make([]codec.Update, len(nbrs)),
-			cmd:     make(chan roundCmd),
-			done:    make(chan error),
+			node: (&nodeRound{
+				eng: e, link: &simLink{net: c.net, id: e.ID(), nbrs: nbrs},
+				met: &c.met, o: c.cfg.Obs, lossy: c.cfg.Float32Wire,
+			}).init(false),
+			cmd:  make(chan roundCmd),
+			done: make(chan error),
 		}
 		c.runners[i] = r
 		go func() {
 			for cmd := range r.cmd {
-				switch cmd.phase {
-				case 1:
-					r.done <- c.sendPhase(r, cmd.round)
-				default:
-					r.done <- c.stepPhase(r, cmd.round)
+				var err error
+				if cmd.send {
+					_, err = r.node.send(cmd.round)
+				} else {
+					_, err = r.node.finish(cmd.round)
 				}
+				r.done <- err
 			}
 		}()
 	}
@@ -217,12 +210,12 @@ func (c *Cluster) stopRunners() {
 	c.runners = nil
 }
 
-// runPhase executes one phase on every runner concurrently and returns
-// the first error (the remaining runners still finish the phase — the
-// barrier always drains).
-func (c *Cluster) runPhase(phase, round int) error {
+// runPhase runs one half of the round body on every runner concurrently
+// and returns the first error (the remaining runners still finish the
+// phase — the barrier always drains).
+func (c *Cluster) runPhase(send bool, round int) error {
 	for _, r := range c.runners {
-		r.cmd <- roundCmd{phase: phase, round: round}
+		r.cmd <- roundCmd{round: round, send: send}
 	}
 	var firstErr error
 	for _, r := range c.runners {
@@ -231,83 +224,6 @@ func (c *Cluster) runPhase(phase, round int) error {
 		}
 	}
 	return firstErr
-}
-
-// sendPhase is phase 1 of a round: build the selective update, encode it
-// into the runner's reusable buffer, and broadcast it.
-func (c *Cluster) sendPhase(r *engineRunner, round int) error {
-	e := r.eng
-	t := time.Now()
-	u, err := e.BuildUpdate(round)
-	if err != nil {
-		return err
-	}
-	c.met.build.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	if c.cfg.Float32Wire {
-		r.enc, _, err = codec.EncodeLossyTo(r.enc, u)
-	} else {
-		r.enc, _, err = codec.EncodeTo(r.enc, u)
-	}
-	if err != nil {
-		return err
-	}
-	c.met.encode.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	for _, j := range r.nbrs {
-		if err := c.net.Send(e.ID(), j, r.enc); err != nil {
-			return err
-		}
-	}
-	c.met.broadcast.Observe(time.Since(t).Seconds())
-	// Pipelined split (DESIGN.md §14): open the ingest window and compute
-	// the round's gradient now, in the phase slot where a real transport
-	// overlaps it with the in-flight gather. The gradient reads only the
-	// iterate, which phase 2's ingest never touches, so the iterates are
-	// bitwise identical to the old integrate-then-Step ordering.
-	e.BeginIntegrate()
-	e.ComputeGradient(round)
-	return nil
-}
-
-// stepPhase is phase 2 of a round: stream the inbox in ascending sender
-// order, decoding and ingesting frame by frame, then complete the EXTRA
-// iteration from the gradient sendPhase left in scratch.
-func (c *Cluster) stepPhase(r *engineRunner, round int) error {
-	e := r.eng
-	t := time.Now()
-	var decSecs, intSecs float64
-	var streamErr error
-	n := 0
-	c.net.CollectStream(e.ID(), func(from int, frame []byte) bool {
-		if n == len(r.decoded) {
-			streamErr = fmt.Errorf("core: node %d received more than its degree %d frames", e.ID(), len(r.decoded))
-			return false
-		}
-		d0 := time.Now()
-		u := &r.decoded[n]
-		if err := codec.DecodeInto(u, frame); err != nil {
-			streamErr = err
-			return false
-		}
-		d1 := time.Now()
-		if err := e.IngestFrame(u); err != nil {
-			streamErr = err
-			return false
-		}
-		decSecs += d1.Sub(d0).Seconds()
-		intSecs += time.Since(d1).Seconds()
-		n++
-		return true
-	})
-	c.met.gather.Observe(time.Since(t).Seconds())
-	if streamErr != nil {
-		return streamErr
-	}
-	c.met.decode.Observe(decSecs)
-	c.met.integrate.Observe(intSecs)
-	e.StepMix(round)
-	return nil
 }
 
 // NewCluster validates the configuration, builds (and optionally
@@ -412,15 +328,15 @@ func (c *Cluster) Run() (*Result, error) {
 		cfg.Obs.Emit(-1, obs.EvRoundStart, round, -1, nil)
 		c.net.BeginRound(round)
 
-		// Phase 1: every node builds and broadcasts its update. Each
-		// runner reports its own phase durations; the shared histograms
-		// aggregate them across nodes.
-		if err := c.runPhase(1, round); err != nil {
+		// Phase 1: every node computes its gradient, then builds and
+		// broadcasts its update. Each runner records its own phase
+		// durations; the shared histograms aggregate them across nodes.
+		if err := c.runPhase(true, round); err != nil {
 			return nil, err
 		}
 
-		// Phase 2: every node integrates what arrived and steps.
-		if err := c.runPhase(2, round); err != nil {
+		// Phase 2: every node ingests what arrived and steps.
+		if err := c.runPhase(false, round); err != nil {
 			return nil, err
 		}
 

@@ -97,7 +97,7 @@ type EngineConfig struct {
 	// converges from any initial point), bounding the staleness bias.
 	RestartEvery int
 	// Float32Wire declares that this node's updates travel as float32
-	// (codec.EncodeLossy). The engine then records the float32-rounded
+	// (codec.EncodeLossyTo). The engine then records the float32-rounded
 	// value — what the receiver actually reconstructs — in its sent
 	// baseline, so the selective diff is computed against the true remote
 	// view rather than a full-precision value the neighbor never saw.
@@ -123,9 +123,12 @@ type EngineConfig struct {
 // Buffer ownership: the engine preallocates every vector the round loop
 // touches at construction and recycles them across rounds (see DESIGN.md
 // "Hot path & buffer ownership"). Everything a method returns without a
-// documented copy — Step's iterate, BuildUpdate's *codec.Update — is
+// documented copy — StepMix's iterate, BuildUpdate's *codec.Update — is
 // engine-owned scratch, valid only until the next call of the same
 // method.
+//
+// A round is BeginIntegrate, ComputeGradient, BuildUpdate, one
+// IngestFrame per arriving neighbor update, then StepMix (DESIGN.md §14).
 type Engine struct {
 	cfg  EngineConfig
 	wRow linalg.Vector
@@ -297,7 +300,7 @@ func (e *Engine) setNeighbors(neighbors []int, seed func(j int) (cur, prev linal
 // corrected by the full-parameter exchange the switch forces: Reconfigure
 // restarts the EXTRA recursion (stale correction history must not span a
 // topology change) and schedules a full send, and every reconfiguring
-// peer does the same, so the first post-switch Integrate replaces the
+// peer does the same, so the first post-switch ingest replaces the
 // seeded views with exact ones before they are ever mixed.
 //
 // The parameter dimensionality is fixed by the model, so lastSent, the
@@ -329,7 +332,7 @@ func (e *Engine) Neighbors() []int {
 }
 
 // RestartNow restarts the EXTRA two-term recursion immediately: the next
-// Step applies the k=0 equation from the current iterate, discarding the
+// StepMix applies the k=0 equation from the current iterate, discarding the
 // accumulated correction history. RestartEvery is this, on a timer;
 // explicit callers use it when the history is known to be invalid (e.g.
 // the topology or weight matrix just changed).
@@ -350,16 +353,16 @@ func (e *Engine) publishAPE() {
 func (e *Engine) ID() int { return e.cfg.ID }
 
 // Params returns a copy of the current iterate. The engine recycles its
-// internal buffers every Step, so handing out the live vector would let
-// a caller's snapshot silently mutate; callers on the hot path that can
-// honor the read-only contract use the iterate Step returns instead.
+// internal buffers every StepMix, so handing out the live vector would
+// let a caller's snapshot silently mutate; callers on the hot path that
+// can honor the read-only contract use the iterate StepMix returns.
 func (e *Engine) Params() linalg.Vector { return e.x.Clone() }
 
 // ParamsInto copies the current iterate into dst, which must already have
 // NumParams entries, and returns dst. It is the allocation-free companion
 // to Params for callers that snapshot the model every round (the serving
 // feed, periodic checkpoints): the caller owns dst outright, so later
-// Steps never mutate it. Like the linalg kernels it panics on a length
+// rounds never mutate it. Like the linalg kernels it panics on a length
 // mismatch rather than resizing.
 //
 //snap:alloc-free
@@ -489,10 +492,9 @@ func (e *Engine) markSent(u *codec.Update) {
 
 // BeginIntegrate opens a round's ingest window: every neighbor slot's
 // current view is rotated down into its x^k view, after which
-// IngestFrame may be called once per arriving neighbor update. It is
-// the first half of Integrate, split out so a pipelined round can
-// rotate the views before the streaming gather starts delivering
-// frames. Must precede the round's first IngestFrame.
+// IngestFrame may be called once per arriving neighbor update, so the
+// views rotate before the streaming gather starts delivering frames.
+// Must precede the round's first IngestFrame.
 //
 //snap:alloc-free
 func (e *Engine) BeginIntegrate() {
@@ -520,21 +522,6 @@ func (e *Engine) IngestFrame(u *codec.Update) error {
 	}
 	if err := codec.Apply(e.nbrCur[slot], u); err != nil {
 		return fmt.Errorf("core: node %d integrating from %d: %w", e.cfg.ID, u.Sender, err)
-	}
-	return nil
-}
-
-// Integrate applies the updates received from neighbors this round: the
-// batch form of BeginIntegrate + IngestFrame, kept for sequential
-// callers.
-//
-//snap:alloc-free
-func (e *Engine) Integrate(updates []*codec.Update) error {
-	e.BeginIntegrate()
-	for _, u := range updates {
-		if err := e.IngestFrame(u); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -628,22 +615,8 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	return e.x
 }
 
-// Step advances the EXTRA recursion one iteration: the sequential form
-// of ComputeGradient + StepMix, kept for callers without a pipelined
-// loop. round selects the gradient mini-batch when BatchSize > 0.
-//
-// The returned vector is the engine's live iterate: read-only, valid
-// until the next Step. Use Params for a stable copy.
-//
-//snap:alloc-free
-//snap:returns-borrowed
-func (e *Engine) Step(round int) linalg.Vector {
-	e.ComputeGradient(round)
-	return e.StepMix(round)
-}
-
 // emitAPEStage records a stage-transition lifecycle event. It allocates
-// (event fields ride a map), which is why Step only calls it on the
+// (event fields ride a map), which is why StepMix only calls it on the
 // rare stage boundaries.
 func (e *Engine) emitAPEStage(round int) {
 	if e.cfg.Obs != nil {
@@ -655,8 +628,8 @@ func (e *Engine) emitAPEStage(round int) {
 	}
 }
 
-// restartRecursion resets the EXTRA two-term recursion so the next Step
-// applies the k=0 equation from the current iterate. The xPrev/gPrev
+// restartRecursion resets the EXTRA two-term recursion so the next
+// StepMix applies the k=0 equation from the current iterate. The xPrev/gPrev
 // buffers keep their storage (the k=0 step never reads them and
 // overwrites both via rotation).
 //

@@ -25,6 +25,25 @@ func smallPartitions(t *testing.T, n, samplesPer int, seed int64) (*dataset.Data
 	return ds, parts
 }
 
+// integrate and step are the batch forms of the split round primitives:
+// BeginIntegrate plus one IngestFrame per update, and ComputeGradient
+// plus StepMix.
+func integrate(e *Engine, updates []*codec.Update) error {
+	e.BeginIntegrate()
+	for _, u := range updates {
+		if err := e.IngestFrame(u); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+//snap:returns-borrowed
+func step(e *Engine, round int) linalg.Vector {
+	e.ComputeGradient(round)
+	return e.StepMix(round)
+}
+
 func newTestEngine(t *testing.T, policy SendPolicy) *Engine {
 	t.Helper()
 	_, parts := smallPartitions(t, 3, 30, 1)
@@ -118,7 +137,7 @@ func TestBuildUpdatePolicies(t *testing.T) {
 
 func TestBuildUpdateAfterStepRespectsThreshold(t *testing.T) {
 	eng := newTestEngine(t, SendSelected)
-	eng.Step(0)
+	step(eng, 0)
 	u, err := eng.BuildUpdate(1)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +163,7 @@ func TestBuildUpdateAfterStepRespectsThreshold(t *testing.T) {
 func TestIntegrateRejectsNonNeighbor(t *testing.T) {
 	eng := newTestEngine(t, SendAll)
 	u := &codec.Update{Sender: 99, NumParams: eng.cfg.Model.NumParams()}
-	if err := eng.Integrate([]*codec.Update{u}); err == nil {
+	if err := integrate(eng, []*codec.Update{u}); err == nil {
 		t.Error("update from non-neighbor accepted")
 	}
 }
@@ -153,7 +172,7 @@ func TestIntegrateShiftsPrevView(t *testing.T) {
 	eng := newTestEngine(t, SendAll)
 	p := eng.cfg.Model.NumParams()
 	u := &codec.Update{Sender: 1, NumParams: p, Indices: []int{0}, Values: []float64{42}}
-	if err := eng.Integrate([]*codec.Update{u}); err != nil {
+	if err := integrate(eng, []*codec.Update{u}); err != nil {
 		t.Fatal(err)
 	}
 	slot := eng.nbrIdx[1]
@@ -164,7 +183,7 @@ func TestIntegrateShiftsPrevView(t *testing.T) {
 		t.Error("neighbor prev view advanced to the new value too early")
 	}
 	// Second integrate: prev must now see 42.
-	if err := eng.Integrate(nil); err != nil {
+	if err := integrate(eng, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.nbrPrev[slot][0] != 42 {
@@ -238,10 +257,10 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 			for _, j := range g.Neighbors(i) {
 				inbox = append(inbox, frames[j])
 			}
-			if err := e.Integrate(inbox); err != nil {
+			if err := integrate(e, inbox); err != nil {
 				t.Fatal(err)
 			}
-			e.Step(round)
+			step(e, round)
 		}
 	}
 
@@ -282,7 +301,7 @@ func TestEngineAPEStageAdvances(t *testing.T) {
 	// default (no recursion restart) the stage advances but the recursion
 	// keeps running.
 	for round := 0; round < 40; round++ {
-		eng.Step(round)
+		step(eng, round)
 	}
 	if stage, _, _ := eng.APEStage(); stage == 0 {
 		t.Error("APE schedule never advanced in 40 iterations")
@@ -308,7 +327,7 @@ func TestEngineRestartsWhenRequested(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 40; round++ {
-		eng.Step(round)
+		step(eng, round)
 	}
 	if eng.Restarts() == 0 {
 		t.Error("no EXTRA restart after 40 iterations with RestartRecursion on")
@@ -318,7 +337,7 @@ func TestEngineRestartsWhenRequested(t *testing.T) {
 func TestEngineReconfigure(t *testing.T) {
 	eng := newTestEngine(t, SendSelected)
 	for round := 0; round < 5; round++ {
-		eng.Step(round)
+		step(eng, round)
 	}
 	restartsBefore := eng.Restarts()
 
@@ -356,12 +375,12 @@ func TestEngineReconfigure(t *testing.T) {
 	}
 	// A further step runs the k=0 recursion without touching the old
 	// neighbor-prev state.
-	eng.Step(7)
+	step(eng, 7)
 
 	if err := eng.Reconfigure(linalg.Vector{1}, nil); err != nil {
 		t.Fatalf("Reconfigure to solo: %v", err)
 	}
-	eng.Step(8)
+	step(eng, 8)
 
 	if err := eng.Reconfigure(linalg.Vector{0.5, 0.4}, []int{1}); err == nil {
 		t.Error("non-stochastic row accepted")
@@ -374,7 +393,7 @@ func TestEngineReconfigure(t *testing.T) {
 func TestEngineRestartNow(t *testing.T) {
 	eng := newTestEngine(t, SendAll)
 	for round := 0; round < 3; round++ {
-		eng.Step(round)
+		step(eng, round)
 	}
 	if eng.k == 0 {
 		t.Fatal("k did not advance")
@@ -384,7 +403,7 @@ func TestEngineRestartNow(t *testing.T) {
 	if eng.k != 0 || eng.Restarts() != before+1 {
 		t.Errorf("RestartNow: k = %d, restarts %d -> %d", eng.k, before, eng.Restarts())
 	}
-	eng.Step(3)
+	step(eng, 3)
 	if eng.k != 1 {
 		t.Errorf("k = %d after post-restart step, want 1", eng.k)
 	}

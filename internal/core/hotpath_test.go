@@ -16,7 +16,7 @@ import (
 // silently tracked (and could corrupt) the optimization state.
 func TestParamsReturnsClone(t *testing.T) {
 	eng := newTestEngine(t, SendChanged)
-	eng.Step(0)
+	step(eng, 0)
 
 	snap := eng.Params()
 	for i := range snap {
@@ -39,7 +39,7 @@ func TestParamsReturnsClone(t *testing.T) {
 	// Stepping the engine must not move an earlier snapshot.
 	snap2 := eng.Params()
 	want := snap2.Clone()
-	eng.Step(1)
+	step(eng, 1)
 	for i := range want {
 		if math.Float64bits(snap2[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("Step mutated an earlier Params() snapshot at %d", i)
@@ -53,7 +53,7 @@ func TestParamsReturnsClone(t *testing.T) {
 // move an earlier snapshot.
 func TestParamsIntoNeverAliases(t *testing.T) {
 	eng := newTestEngine(t, SendChanged)
-	eng.Step(0)
+	step(eng, 0)
 
 	dst := make([]float64, eng.cfg.Model.NumParams())
 	got := eng.ParamsInto(dst)
@@ -82,7 +82,7 @@ func TestParamsIntoNeverAliases(t *testing.T) {
 	snap := eng.ParamsInto(make([]float64, eng.cfg.Model.NumParams()))
 	want := snap.Clone()
 	for r := 1; r <= 3; r++ {
-		eng.Step(r)
+		step(eng, r)
 	}
 	for i := range want {
 		if math.Float64bits(snap[i]) != math.Float64bits(want[i]) {
@@ -113,7 +113,7 @@ func TestParamsSnapshotSafeDuringSteps(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 50; r++ {
-			eng.Step(r)
+			step(eng, r)
 		}
 	}()
 	var sum float64
@@ -176,16 +176,16 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 	// lossy frame, exactly as a neighbor engine would.
 	receiver := m.InitParams(7)
 	for round := 0; round < 5; round++ {
-		eng.Step(round)
+		step(eng, round)
 		u, err := eng.BuildUpdate(round + 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, err := codec.EncodeLossy(u)
+		frame, _, err := codec.EncodeLossyTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := codec.Decode(frame)
+		got, err := decodeForTest(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, _, err := codec.EncodeLossy(u)
+	frame, _, err := codec.EncodeLossyTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.Decode(frame)
+	got, err := decodeForTest(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 func TestReconfigureKeepsHotPathState(t *testing.T) {
 	eng := newTestEngine(t, SendSelected)
 	for r := 0; r < 3; r++ {
-		eng.Step(r)
+		step(eng, r)
 		if _, err := eng.BuildUpdate(r); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestReconfigureKeepsHotPathState(t *testing.T) {
 		t.Fatalf("post-reconfigure send carries %d params, want full vector %d",
 			len(u.Indices), eng.cfg.Model.NumParams())
 	}
-	eng.Step(4)
+	step(eng, 4)
 }
 
 // TestEngineRoundAllocFree is the tier-1 alloc budget for the per-round
@@ -267,7 +267,7 @@ func TestEngineRoundAllocFree(t *testing.T) {
 			eng := newTestEngine(t, policy)
 			round := 0
 			iterate := func() {
-				eng.Step(round)
+				step(eng, round)
 				if _, err := eng.BuildUpdate(round); err != nil {
 					t.Fatal(err)
 				}

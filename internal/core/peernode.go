@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/controlplane"
-	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/obs"
 	"github.com/snapml/snap/internal/trace"
@@ -49,11 +47,12 @@ type PeerNodeConfig struct {
 	// RoundTimeout bounds how long a round waits for straggler neighbors
 	// before proceeding with whatever arrived (default 5s).
 	RoundTimeout time.Duration
-	// Sequential disables the pipelined round loop: frames are gathered
-	// in a batch and the gradient is computed after integration instead
-	// of concurrently with broadcast+gather. The iterates are bitwise
-	// identical either way (DESIGN.md §14); the knob exists for A/B
-	// measurement and as a diagnostic fallback, not as a tuning option.
+	// Sequential computes each round's gradient inline, before the
+	// outgoing update is built, instead of on the gradient worker
+	// concurrently with broadcast and gather — the simulator's mode. The
+	// iterates are bitwise identical either way (DESIGN.md §14); the knob
+	// is the reference for A/B measurement of the overlap and a
+	// diagnostic fallback, not a tuning option.
 	Sequential bool
 	// EvalEvery computes the local loss every this many rounds (default 1;
 	// set larger for expensive models — a full-partition objective pass
@@ -118,82 +117,12 @@ type PeerNode struct {
 	// needRefresh is set by the transport's reconnect callback and
 	// consumed at the top of the next round: the node sends its full
 	// parameter vector so the reconnected neighbor's stale view heals.
-	needRefresh  atomic.Bool
-	sendFailures atomic.Int64
-	refreshes    atomic.Int64
+	needRefresh atomic.Bool
+	refreshes   atomic.Int64
 
-	// encBuf and updates are the round loop's reusable encode buffer and
-	// decoded-update slice (Peer.Send writes synchronously, so the frame
-	// buffer is free for reuse as soon as Broadcast returns).
-	encBuf  []byte
-	updates []*codec.Update
-
-	// Pipelined-round state (DESIGN.md §14). gradCmd/gradDone drive the
-	// persistent gradient worker: persistent because a `go func` closure
-	// per round would allocate on the hot path. The round loop sends the
-	// round number, the worker runs Engine.ComputeGradient and signals
-	// gradDone; sends and receives are strictly paired, which is the
-	// happens-before edge that makes the engine's gradient scratch safe.
-	// gradDone is buffered so the worker can always deposit its signal
-	// and exit on shutdown. gradRunning lets the streaming-gather
-	// callback attribute frames to the overlap window without touching
-	// the channel; gradFinished is written by the worker before the done
-	// signal, so reading it after <-gradDone is ordered.
-	gradCmd      chan int
-	gradDone     chan struct{}
-	gradStop     sync.Once
-	gradRunning  atomic.Bool
-	gradFinished time.Time
-	// decUpd is the pipelined path's reusable decode target: frames are
-	// decoded and ingested one at a time, so one Update suffices where
-	// the batch path needs a pooled slice.
-	decUpd codec.Update
-
-	met roundMetrics
-}
-
-// roundMetrics caches the round-driver metric handles: one histogram per
-// pipeline phase (the round latency breakdown), whole-round latency, and
-// the fault/refresh counters mirrored into the registry.
-type roundMetrics struct {
-	build, encode, broadcast         *obs.Histogram
-	gather, decode, integrate        *obs.Histogram
-	roundSeconds, overlapSeconds     *obs.Histogram
-	round, roundBytes, localLoss     *obs.Gauge
-	streamDepth                      *obs.Gauge
-	streamFrames                     *obs.Counter
-	sendFailures, corrupt, refreshes *obs.Counter
-	epoch                            *obs.Gauge
-	epochsApplied                    *obs.Counter
-	reconfigSeconds                  *obs.Histogram
-}
-
-func newRoundMetrics(o *obs.Observer) roundMetrics {
-	phase := func(name string) *obs.Histogram {
-		return o.Histogram(obs.Label(obs.MPhaseSeconds, obs.LPhase, name), obs.TimeBuckets)
-	}
-	return roundMetrics{
-		build:          phase("build"),
-		encode:         phase("encode"),
-		broadcast:      phase("broadcast"),
-		gather:         phase("gather"),
-		decode:         phase("decode"),
-		integrate:      phase("integrate"),
-		roundSeconds:   o.Histogram(obs.MRoundSeconds, obs.TimeBuckets),
-		overlapSeconds: o.Histogram(obs.MOverlapSeconds, obs.TimeBuckets),
-		streamDepth:    o.Gauge(obs.MStreamDepth),
-		streamFrames:   o.Counter(obs.MStreamFrames),
-		round:          o.Gauge(obs.MRound),
-		roundBytes:     o.Gauge(obs.MRoundBytes),
-		localLoss:      o.Gauge(obs.MLocalLoss),
-		sendFailures:   o.Counter(obs.MSendFailures),
-		corrupt:        o.Counter(obs.MCorruptFrames),
-		refreshes:      o.Counter(obs.MRefreshes),
-
-		epoch:           o.Gauge(obs.MEpoch),
-		epochsApplied:   o.Counter(obs.MEpochsApplied),
-		reconfigSeconds: o.Histogram(obs.MReconfigSeconds, obs.TimeBuckets),
-	}
+	// node is the round body; its link is the TCP peer.
+	node *nodeRound
+	met  roundMetrics
 }
 
 // NewPeerNode builds the engine and starts listening. Call Connect before
@@ -230,6 +159,10 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 		}
 	}
 	pn := &PeerNode{cfg: cfg, engine: eng, peer: peer, met: newRoundMetrics(cfg.Obs)}
+	pn.node = (&nodeRound{
+		eng: eng, link: peerLink{peer}, met: &pn.met, tr: cfg.Tracer, o: cfg.Obs,
+		log: cfg.Logf, timeout: cfg.RoundTimeout, lossy: cfg.Engine.Float32Wire,
+	}).init(!cfg.Sequential)
 	pn.epoch.Store(int64(cfg.Epoch))
 	pn.met.epoch.Set(float64(cfg.Epoch))
 	peer.SetReconnectHandler(func(nid int) {
@@ -239,24 +172,7 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 	if cfg.Faults != nil {
 		peer.SetFaults(cfg.Faults)
 	}
-	pn.gradCmd = make(chan int)
-	pn.gradDone = make(chan struct{}, 1)
-	go pn.gradWorker()
 	return pn, nil
-}
-
-// gradWorker is the persistent gradient goroutine behind the pipelined
-// round loop: it runs Engine.ComputeGradient for each round the loop
-// hands it, concurrently with that round's broadcast and gather. It
-// exits when Close closes gradCmd (ranging over the channel is the
-// cancellation).
-func (pn *PeerNode) gradWorker() {
-	for round := range pn.gradCmd {
-		pn.engine.ComputeGradient(round)
-		pn.gradFinished = time.Now()
-		pn.gradRunning.Store(false)
-		pn.gradDone <- struct{}{}
-	}
 }
 
 func (pn *PeerNode) logf(format string, args ...any) {
@@ -283,7 +199,7 @@ func (pn *PeerNode) Tracer() *trace.Tracer { return pn.cfg.Tracer }
 
 // SendFailures reports how many broadcasts hit at least one failed
 // neighbor link (each was tolerated, not fatal).
-func (pn *PeerNode) SendFailures() int64 { return pn.sendFailures.Load() }
+func (pn *PeerNode) SendFailures() int64 { return pn.node.sendFailures.Load() }
 
 // Refreshes reports how many reconnect-triggered full-parameter
 // broadcasts this node has performed.
@@ -358,70 +274,10 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 			pn.met.refreshes.Inc()
 		}
 
-		pipelined := !pn.cfg.Sequential
-		if pipelined {
-			// Open the ingest window and kick the gradient worker before
-			// even building the outgoing update: ComputeGradient reads
-			// only the iterate and local data, state disjoint from
-			// everything build/encode/broadcast/ingest touch (DESIGN.md
-			// §14), so the whole comms window can hide behind it. Every
-			// kick is paired with exactly one gradDone receive below —
-			// including on the error returns — before StepMix or the next
-			// round's kick.
-			pn.engine.BeginIntegrate()
-			pn.gradRunning.Store(true)
-			pn.gradCmd <- round
-		}
-		t := time.Now()
-		u, err := pn.engine.BuildUpdate(round)
+		u, err := pn.node.send(round)
 		if err != nil {
-			if pipelined {
-				<-pn.gradDone
-			}
 			return result, err
 		}
-		end := time.Now()
-		pn.met.build.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseBuild, t, end)
-
-		t = end
-		if pn.cfg.Engine.Float32Wire {
-			pn.encBuf, _, err = codec.EncodeLossyTo(pn.encBuf, u)
-		} else {
-			pn.encBuf, _, err = codec.EncodeTo(pn.encBuf, u)
-		}
-		if err != nil {
-			if pipelined {
-				<-pn.gradDone
-			}
-			return result, err
-		}
-		frame := pn.encBuf
-		end = time.Now()
-		pn.met.encode.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseEncode, t, end)
-
-		t = end
-		bcastStart := t
-		if err := pn.peer.Broadcast(round, frame); err != nil {
-			// A dead link mid-broadcast is a straggler, not a node
-			// failure: the receiver reuses our last parameters and the
-			// transport reconnects in the background.
-			pn.sendFailures.Add(1)
-			pn.met.sendFailures.Inc()
-			if pn.cfg.Obs.LogEnabled() {
-				f := obs.GetFields()
-				f["kind"] = "send_failure"
-				f["error"] = err.Error()
-				pn.cfg.Obs.Emit(id, obs.EvFault, round, -1, f)
-				obs.PutFields(f)
-			}
-			pn.logf("node %d: broadcast round %d: %v (continuing; link treated as straggler)",
-				id, round, err)
-		}
-		end = time.Now()
-		pn.met.broadcast.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseBroadcast, t, end)
 		// A full send would have cost one maximal frame per neighbor
 		// actually written to: the counter-derived ground truth for the
 		// aggregator's bytes-saved accounting.
@@ -430,24 +286,25 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 			frames*fullFrame, len(u.Indices), u.NumParams)
 		if pn.cfg.Obs.LogEnabled() {
 			f := obs.GetFields()
-			f["bytes"] = len(frame)
+			f["bytes"] = len(pn.node.enc)
 			f["selected"] = len(u.Indices)
 			pn.cfg.Obs.Emit(id, obs.EvBroadcast, round, -1, f)
 			obs.PutFields(f)
 		}
 
-		var iter linalg.Vector
-		if pipelined {
-			iter, err = pn.roundTailPipelined(round, tr, bcastStart)
-		} else {
-			iter, err = pn.roundTailSequential(round, tr)
-		}
+		iter, err := pn.node.finish(round)
 		if err != nil {
 			return result, err
 		}
+		if pn.cfg.Obs.LogEnabled() {
+			f := obs.GetFields()
+			f["updates"] = pn.node.got
+			pn.cfg.Obs.Emit(id, obs.EvIntegrate, round, -1, f)
+			obs.PutFields(f)
+		}
 		if pn.cfg.Feed != nil {
 			// Same-goroutine read of the live iterate is safe here: the
-			// engine does not touch it again until the next Step, and
+			// engine does not touch it again until the next StepMix, and
 			// Publish copies before returning.
 			pn.cfg.Feed.Publish(round, int(pn.epoch.Load()), iter)
 		}
@@ -490,167 +347,6 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 		})
 	}
 	return result, nil
-}
-
-// roundTailPipelined finishes a round on the streaming path: frames are
-// decoded and ingested one by one as GatherStream delivers them, while
-// the gradient worker (kicked before build) is still running; StepMix
-// joins the two at the barrier. bcastStart anchors the overlap
-// accounting — the gradient was kicked before build, so the hidden
-// comms time is [bcastStart, min(gradient end, gather end)].
-//
-//snap:returns-borrowed
-func (pn *PeerNode) roundTailPipelined(round int, tr *trace.Tracer, bcastStart time.Time) (linalg.Vector, error) {
-	gatherStart := time.Now()
-	var (
-		ingestErr        error
-		got, overlapped  int
-		decSecs, intSecs float64
-		firstDecode      time.Time
-		lastDecode       time.Time
-		lastIngest       time.Time
-	)
-	pn.peer.GatherStream(round, pn.cfg.RoundTimeout, func(from int, f []byte) bool {
-		d0 := time.Now()
-		dec := &pn.decUpd
-		if err := codec.DecodeInto(dec, f); err != nil {
-			// A corrupt frame from one neighbor is that neighbor's
-			// problem, not ours: drop it and reuse their last view.
-			transport.RecycleFrame(f)
-			pn.noteCorruptFrame(round, from, err)
-			return true
-		}
-		// DecodeInto never aliases the wire bytes, so the frame buffer
-		// can rejoin the transport's receive pool immediately.
-		transport.RecycleFrame(f)
-		d1 := time.Now()
-		tr.Span(round, trace.SpanFrameDecode, d0, d1)
-		if err := pn.engine.IngestFrame(dec); err != nil {
-			ingestErr = err
-			return false // abort the stream; the error is fatal
-		}
-		i1 := time.Now()
-		decSecs += d1.Sub(d0).Seconds()
-		intSecs += i1.Sub(d1).Seconds()
-		if firstDecode.IsZero() {
-			firstDecode = d0
-		}
-		lastDecode, lastIngest = d1, i1
-		got++
-		if pn.gradRunning.Load() {
-			overlapped++
-		}
-		return true
-	})
-	gatherEnd := time.Now()
-	// The gather phase is the whole stream window; the decode and
-	// integrate phases are the slices of it spent off the wire. Their
-	// windows overlap the gather window — that is the pipeline, not a
-	// bookkeeping bug (DESIGN.md §14).
-	pn.met.gather.Observe(gatherEnd.Sub(gatherStart).Seconds())
-	tr.Phase(round, trace.PhaseGather, gatherStart, gatherEnd)
-	if firstDecode.IsZero() {
-		firstDecode, lastDecode, lastIngest = gatherEnd, gatherEnd, gatherEnd
-	}
-	pn.met.decode.Observe(decSecs)
-	tr.Phase(round, trace.PhaseDecode, firstDecode, lastDecode)
-	pn.met.integrate.Observe(intSecs)
-	tr.Phase(round, trace.PhaseIntegrate, firstDecode, lastIngest)
-
-	// Barrier: the round's gradient must be in scratch before StepMix
-	// reads it (and before a fatal return hands the loop back).
-	<-pn.gradDone
-	if ingestErr != nil {
-		return nil, ingestErr
-	}
-	overlapEnd := pn.gradFinished
-	if gatherEnd.Before(overlapEnd) {
-		overlapEnd = gatherEnd
-	}
-	if overlapEnd.After(bcastStart) {
-		pn.met.overlapSeconds.Observe(overlapEnd.Sub(bcastStart).Seconds())
-		tr.Span(round, trace.SpanOverlap, bcastStart, overlapEnd)
-	} else {
-		pn.met.overlapSeconds.Observe(0)
-	}
-	pn.met.streamDepth.Set(float64(overlapped))
-	pn.met.streamFrames.Add(int64(got))
-	pn.emitIntegrate(round, got)
-	return pn.engine.StepMix(round), nil
-}
-
-// roundTailSequential is the historical batch tail — gather, decode
-// all, integrate all, then compute the gradient and step. Kept for A/B
-// measurement against the pipelined tail: the two produce bitwise-
-// identical iterates (TestPipelinedMatchesSequentialTCP).
-//
-//snap:returns-borrowed
-func (pn *PeerNode) roundTailSequential(round int, tr *trace.Tracer) (linalg.Vector, error) {
-	t := time.Now()
-	inbox := pn.peer.Gather(round, pn.cfg.RoundTimeout)
-	end := time.Now()
-	pn.met.gather.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseGather, t, end)
-
-	t = end
-	pn.updates = pn.updates[:0]
-	for from, f := range inbox {
-		dec := codec.GetUpdate()
-		if err := codec.DecodeInto(dec, f); err != nil {
-			codec.PutUpdate(dec)
-			pn.noteCorruptFrame(round, from, err)
-			continue
-		}
-		pn.updates = append(pn.updates, dec)
-		// DecodeInto never aliases the wire bytes, so the frame buffer
-		// can rejoin the transport's receive pool immediately.
-		transport.RecycleFrame(f)
-	}
-	end = time.Now()
-	pn.met.decode.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseDecode, t, end)
-
-	t = end
-	err := pn.engine.Integrate(pn.updates)
-	for i, dec := range pn.updates {
-		codec.PutUpdate(dec)
-		pn.updates[i] = nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	end = time.Now()
-	pn.met.integrate.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseIntegrate, t, end)
-	pn.emitIntegrate(round, len(inbox))
-	return pn.engine.Step(round), nil
-}
-
-// noteCorruptFrame records a dropped undecodable frame (counter, fault
-// event, log line); the sender's last-known view is simply reused.
-func (pn *PeerNode) noteCorruptFrame(round, from int, err error) {
-	id := pn.engine.ID()
-	pn.met.corrupt.Inc()
-	if pn.cfg.Obs.LogEnabled() {
-		fields := obs.GetFields()
-		fields["kind"] = "corrupt_frame"
-		fields["error"] = err.Error()
-		pn.cfg.Obs.Emit(id, obs.EvFault, round, from, fields)
-		obs.PutFields(fields)
-	}
-	pn.logf("node %d: dropping corrupt round-%d frame from %d: %v",
-		id, round, from, err)
-}
-
-// emitIntegrate records the end-of-ingest round event with the number
-// of neighbor updates applied.
-func (pn *PeerNode) emitIntegrate(round, updates int) {
-	if pn.cfg.Obs.LogEnabled() {
-		f := obs.GetFields()
-		f["updates"] = updates
-		pn.cfg.Obs.Emit(pn.engine.ID(), obs.EvIntegrate, round, -1, f)
-		obs.PutFields(f)
-	}
 }
 
 // Epoch returns the id of the cluster epoch this node last applied (its
@@ -746,7 +442,7 @@ func (pn *PeerNode) Leave(timeout time.Duration) error {
 // two. Close must not race the node's own Run: finish (or abandon) the
 // round loop first, as every test and the snappeer binary do.
 func (pn *PeerNode) Close() error {
-	pn.gradStop.Do(func() { close(pn.gradCmd) })
+	pn.node.stop()
 	var cerr error
 	if pn.cfg.Control != nil {
 		cerr = pn.cfg.Control.Close()

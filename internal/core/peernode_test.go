@@ -62,10 +62,10 @@ func TestPeerNodesMatchSimulatedCluster(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Integrate(updates); err != nil {
+			if err := integrate(e, updates); err != nil {
 				t.Fatal(err)
 			}
-			e.Step(round)
+			step(e, round)
 		}
 	}
 
@@ -130,13 +130,18 @@ func TestPeerNodesMatchSimulatedCluster(t *testing.T) {
 // encodeForTest and decodeAllForTest route reference-engine frames through
 // the same codec the TCP path uses, so both runs see identical bytes.
 func encodeForTest(u *codec.Update) ([]byte, codec.Format, error) {
-	return codec.Encode(u)
+	return codec.EncodeTo(nil, u)
+}
+
+func decodeForTest(frame []byte) (*codec.Update, error) {
+	u := &codec.Update{}
+	return u, codec.DecodeInto(u, frame)
 }
 
 func decodeAllForTest(frames [][]byte, self int, g *graph.Graph) ([]*codec.Update, error) {
 	var out []*codec.Update
 	for _, j := range g.Neighbors(self) {
-		u, err := codec.Decode(frames[j])
+		u, err := decodeForTest(frames[j])
 		if err != nil {
 			return nil, err
 		}

@@ -118,13 +118,12 @@ func TestPipelinedRoundAllocFree(t *testing.T) {
 	}
 }
 
-// TestPipelineSplitMatchesStep checks the refactoring seam directly:
-// BeginIntegrate plus per-frame IngestFrame is Integrate, and
-// ComputeGradient followed by StepMix is Step, bit for bit. Two engine
-// sets run the same schedule through the old and new entry points —
-// the split set even computes the gradient *before* building/ingesting
-// (the pipelined ordering), which must not matter because neither
-// BuildUpdate nor ingestion moves e.x.
+// TestPipelineSplitMatchesStep checks that the order of the split round
+// primitives does not matter, bit for bit. Two engine sets run the same
+// schedule: the batch set builds, integrates every neighbor update, then
+// computes the gradient and steps; the split set computes the gradient
+// *before* building/ingesting (the round body's ordering), which must
+// not matter because neither BuildUpdate nor ingestion moves e.x.
 func TestPipelineSplitMatchesStep(t *testing.T) {
 	batch := newTestEngines(t, 3, SendSelected)
 	split := newTestEngines(t, 3, SendSelected)
@@ -150,12 +149,12 @@ func TestPipelineSplitMatchesStep(t *testing.T) {
 					nbr = append(nbr, upds[j])
 				}
 			}
-			if err := e.Integrate(nbr); err != nil {
+			if err := integrate(e, nbr); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, e := range batch {
-			e.Step(round)
+			step(e, round)
 		}
 
 		// Split path: the pipelined primitive sequence.

@@ -69,7 +69,7 @@ func TestRefreshEveryForcesFullSend(t *testing.T) {
 		if round == 0 && len(u.Indices) != 0 {
 			t.Errorf("round 0 sent %d params (shared init, no refresh)", len(u.Indices))
 		}
-		eng.Step(round)
+		step(eng, round)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestRestartEveryResetsRecursion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 11; round++ {
-		eng.Step(round)
+		step(eng, round)
 	}
 	if eng.Restarts() != 2 {
 		t.Errorf("restarts = %d after 11 rounds with RestartEvery=5, want 2", eng.Restarts())

@@ -73,7 +73,7 @@ func TestAXPYTo(t *testing.T) {
 
 // TestMixToMatchesSequential pins the determinism contract: MixTo must be
 // bitwise-identical to the ScaleTo-then-AXPYInPlace formulation it fuses,
-// since Engine.Step's recursion depends on reproducible float order.
+// since Engine.StepMix's recursion depends on reproducible float order.
 func TestMixToMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, k = 13, 5

@@ -17,7 +17,7 @@ const (
 	SpanDecode    = "decode"    // codec decoding of received frames
 	SpanIntegrate = "integrate" // apply neighbor updates to local views
 
-	// Compute sub-spans recorded by the engine inside Step.
+	// Compute sub-spans recorded by the engine (ComputeGradient, StepMix).
 	SpanGrad = "grad" // local gradient (all shards)
 	SpanMix  = "mix"  // W-row mixing + EXTRA recursion update
 

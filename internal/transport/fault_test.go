@@ -16,7 +16,7 @@ func TestFaultDropLosesFrameSilently(t *testing.T) {
 	if got := peers[0].BytesSent(); got != 0 {
 		t.Errorf("BytesSent after drop = %d, want 0 (frame never crossed the link)", got)
 	}
-	if got := peers[1].Gather(0, 200*time.Millisecond); len(got) != 0 {
+	if got := gather(peers[1], 0, 200*time.Millisecond); len(got) != 0 {
 		t.Errorf("receiver gathered %v, want nothing", got)
 	}
 
@@ -24,7 +24,7 @@ func TestFaultDropLosesFrameSilently(t *testing.T) {
 	if err := peers[0].Send(1, 1, []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	if got := peers[1].Gather(1, 2*time.Second); string(got[0]) != "kept" {
+	if got := gather(peers[1], 1, 2*time.Second); string(got[0]) != "kept" {
 		t.Errorf("round 1 gather = %v, want the frame delivered", got)
 	}
 }
@@ -42,7 +42,7 @@ func TestFaultDelayStallsThenDelivers(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Errorf("delayed send returned after %v, want ≥ %v", elapsed, delay)
 	}
-	if got := peers[1].Gather(0, 2*time.Second); string(got[0]) != "slow" {
+	if got := gather(peers[1], 0, 2*time.Second); string(got[0]) != "slow" {
 		t.Errorf("gather = %v, want the delayed frame", got)
 	}
 }

@@ -194,7 +194,7 @@ func TestGatherStreamDropMidStream(t *testing.T) {
 
 // TestGatherStreamAbortKeepsFramesPending checks the two halves of the
 // abort contract: returning false stops delivery immediately, and frames
-// stay in the pending buffer until ForgetRound, so a later batch Gather
+// stay in the pending buffer until ForgetRound, so a later gather
 // (itself built on the stream) still sees the whole round.
 func TestGatherStreamAbortKeepsFramesPending(t *testing.T) {
 	peers := startPeers(t, 3)
@@ -207,7 +207,7 @@ func TestGatherStreamAbortKeepsFramesPending(t *testing.T) {
 	// Both frames are in flight; wait until they are buffered so the
 	// abort decision races nothing.
 	waitFor(t, 5*time.Second, "both frames pending", func() bool {
-		return peers[0].LatestRound() >= 0 && len(peers[0].Gather(0, 10*time.Millisecond)) == 2
+		return peers[0].LatestRound() >= 0 && len(gather(peers[0], 0, 10*time.Millisecond)) == 2
 	})
 
 	calls := 0
@@ -223,12 +223,12 @@ func TestGatherStreamAbortKeepsFramesPending(t *testing.T) {
 	}
 
 	// The aborted round is replayable in full…
-	if again := peers[0].Gather(0, 2*time.Second); len(again) != 2 {
+	if again := gather(peers[0], 0, 2*time.Second); len(again) != 2 {
 		t.Errorf("re-gather after abort = %d frames, want 2 (abort must not consume)", len(again))
 	}
 	// …until the caller retires it.
 	peers[0].ForgetRound(0)
-	if after := peers[0].Gather(0, 50*time.Millisecond); len(after) != 0 {
+	if after := gather(peers[0], 0, 50*time.Millisecond); len(after) != 0 {
 		t.Errorf("gather after ForgetRound = %d frames, want 0", len(after))
 	}
 }

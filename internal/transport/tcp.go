@@ -41,34 +41,34 @@ const (
 	reconnectMaxDelay  = 2 * time.Second
 )
 
-// LinkStats counts connection lifecycle events on one neighbor link.
+// LinkStats counts connection lifecycle events on one neighbor link. At
+// every moment Connects == Disconnects + 1 while the link is up and
+// Connects == Disconnects while it is down.
 type LinkStats struct {
-	// Connects is the number of connections ever established (initial
-	// connects, reconnects, and duplicate-resolution replacements).
+	// Connects is the number of connections ever registered.
 	Connects int
-	// Disconnects is the number of times the registered connection died.
+	// Disconnects is the number of registered connections that went away:
+	// died, were replaced by a newer connection, or were dropped.
 	Disconnects int
-	// Reconnects is the number of link healings: either a new connection
-	// filled a slot the link had before (the dead conn was already
-	// evicted), or a canonical duplicate replaced a registered connection
-	// — which only happens in reconnection races, when the remote's
-	// re-dial outran our read loop's error.
+	// Reconnects is the number of link healings: connections registered
+	// after the link's first.
 	Reconnects int
 }
 
 // Peer is one edge server's TCP endpoint. Peers keep one persistent
 // connection per neighbor and exchange length-prefixed, round-tagged
-// frames. Gather implements the paper's RIP-like synchronization: wait for
-// this round's frame from every *currently connected* neighbor, giving up
-// on stragglers after a timeout.
+// frames. GatherStream implements the paper's RIP-like synchronization:
+// wait for this round's frame from every *currently connected* neighbor,
+// giving up on stragglers after a timeout.
 //
 // The transport is fault tolerant: a dead connection is evicted as soon as
-// its read loop observes the failure (so Gather stops waiting for it), and
-// both sides re-dial with exponential backoff and jitter. For initial
-// connection establishment the lower-id peer accepts and the higher-id
-// peer dials; during reconnection either side may dial, and duplicate
-// connections are resolved deterministically by keeping the one dialed by
-// the higher-id peer.
+// its read loop observes the failure (so GatherStream stops waiting for
+// it), and the link is re-dialed with exponential backoff and jitter. Each
+// link has one dialer, the lower-id peer, both at Connect and on
+// reconnection; the higher-id peer only accepts. A newly accepted
+// connection replaces a still-registered one, since the dialer only
+// re-dials once it has seen the old connection die. With a single dialer
+// no two connections for one link can race each other into a flap.
 type Peer struct {
 	id       int
 	listener net.Listener
@@ -81,10 +81,11 @@ type Peer struct {
 	linkM     map[int]*linkMetrics // guarded by mu; per-link metric handles (lazy)
 	downSince map[int]time.Time    // guarded by mu; link-down timestamp, for reconnect latency
 
-	// onReconnect, when set (before Connect), is invoked once per link
-	// down→up transition with the neighbor id. Called from a transport
-	// goroutine; implementations must be safe for concurrent use.
+	// onReconnect, when set, is run by reconnectNotifier for every
+	// neighbor id in reconnected; reconnKick wakes the notifier.
 	onReconnect func(nid int) // guarded by mu
+	reconnected map[int]bool  // guarded by mu
+	reconnKick  chan struct{}
 
 	// faults, when set, injects deterministic failures into Send.
 	faults *FaultSet
@@ -92,16 +93,16 @@ type Peer struct {
 	inbox chan inFrame
 
 	// membership is nudged whenever the connection set changes so a
-	// blocked Gather re-evaluates how many frames it should wait for.
+	// blocked GatherStream re-evaluates how many frames it should wait for.
 	membership chan struct{}
 
-	// pending buffers frames by round until Gather asks for them.
+	// pending buffers frames by round until GatherStream asks for them.
 	pendingMu sync.Mutex
 	pending   map[int]map[int][]byte // guarded by pendingMu
 
 	// Streaming-gather scratch, owned by the single gathering goroutine:
-	// Gather/GatherStream must not be invoked concurrently with each
-	// other (the round loop is their only caller). Reused across rounds
+	// GatherStream must not be invoked concurrently with itself (the
+	// round loop is its only caller). Reused across rounds
 	// so a steady-state stream performs no allocations.
 	streamSeen  map[int]bool // senders already delivered this call
 	streamKeep  map[int]bool // expected-sender set, rebuilt per flush
@@ -143,7 +144,6 @@ type linkMetrics struct {
 type peerConn struct {
 	writeMu sync.Mutex
 	conn    net.Conn
-	dialed  bool // we dialed this connection (vs. accepted it)
 }
 
 type inFrame struct {
@@ -168,24 +168,27 @@ func NewPeer(id int, addr string) (*Peer, error) {
 // response — so it listens first and builds the peer afterwards.
 func NewPeerFromListener(id int, ln net.Listener) *Peer {
 	p := &Peer{
-		id:         id,
-		listener:   ln,
-		conns:      make(map[int]*peerConn),
-		addrs:      make(map[int]string),
-		redialing:  make(map[int]bool),
-		stats:      make(map[int]*LinkStats),
-		linkM:      make(map[int]*linkMetrics),
-		downSince:  make(map[int]time.Time),
-		inbox:      make(chan inFrame, 1024),
-		membership: make(chan struct{}, 1),
-		pending:    make(map[int]map[int][]byte),
-		closed:     make(chan struct{}),
+		id:          id,
+		listener:    ln,
+		conns:       make(map[int]*peerConn),
+		addrs:       make(map[int]string),
+		redialing:   make(map[int]bool),
+		stats:       make(map[int]*LinkStats),
+		linkM:       make(map[int]*linkMetrics),
+		downSince:   make(map[int]time.Time),
+		reconnected: make(map[int]bool),
+		reconnKick:  make(chan struct{}, 1),
+		inbox:       make(chan inFrame, 1024),
+		membership:  make(chan struct{}, 1),
+		pending:     make(map[int]map[int][]byte),
+		closed:      make(chan struct{}),
 	}
 	p.mu.Lock()
 	p.initObsHandles()
 	p.mu.Unlock()
 	p.wg.Add(1)
 	go p.acceptLoop()
+	go p.reconnectNotifier()
 	return p
 }
 
@@ -250,9 +253,11 @@ func (p *Peer) FramesSent() int64 { return p.framesSent.Load() }
 // observation. May be called at any time; pass nil to disable.
 func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer.Store(t) }
 
-// SetReconnectHandler registers fn to be called whenever a neighbor link
-// transitions from down to up after having been connected before. Set it
-// before Connect; it must be safe to call from transport goroutines.
+// SetReconnectHandler registers fn to be called after a neighbor link
+// comes back up, with the neighbor id. Calls run on a notifier goroutine
+// of their own, one at a time, never on a transport goroutine: a handler
+// that blocks only delays its own later calls, which coalesce into one
+// call per neighbor. Set it before Connect.
 func (p *Peer) SetReconnectHandler(fn func(nid int)) {
 	p.mu.Lock()
 	p.onReconnect = fn
@@ -275,7 +280,7 @@ func (p *Peer) LatestRound() int { return int(p.latestRound.Load()) - 1 }
 
 // Drop removes neighbor nid from the peer's neighbor set: the connection
 // (if any) is closed, the stored address is forgotten so no reconnect
-// loop revives the link, and Gather stops expecting frames from it. Used
+// loop revives the link, and GatherStream stops expecting frames from it. Used
 // when an epoch reconfiguration removes a topology edge or a member
 // leaves the cluster. Dropping an unknown neighbor is a no-op.
 func (p *Peer) Drop(nid int) {
@@ -284,6 +289,8 @@ func (p *Peer) Drop(nid int) {
 	pc, ok := p.conns[nid]
 	if ok {
 		delete(p.conns, nid)
+		p.statsFor(nid).Disconnects++
+		p.linkMetricsFor(nid).disconnects.Inc()
 	}
 	o := p.obs
 	p.mu.Unlock()
@@ -330,7 +337,7 @@ func (p *Peer) statsFor(nid int) *LinkStats {
 // Connect establishes connections to all neighbors: it dials every
 // neighbor with a higher id and waits until connections with all listed
 // neighbors (dialed or accepted) exist, or the timeout expires. The
-// addresses are remembered so that either side can re-dial if a
+// addresses are remembered so the dialing side can re-dial if a
 // connection later dies.
 func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
 	p.mu.Lock()
@@ -389,10 +396,7 @@ func (p *Peer) dial(nid int, addr string, timeout time.Duration) error {
 	for {
 		conn, err := p.dialOnce(addr, deadline)
 		if err == nil {
-			if p.addConn(nid, conn, true) {
-				return nil
-			}
-			// A duplicate connection won; the link is up either way.
+			p.addConn(nid, conn)
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -459,17 +463,18 @@ func (p *Peer) acceptLoop() {
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})
-		p.addConn(int(binary.BigEndian.Uint32(hello[:])), conn, false)
+		p.addConn(int(binary.BigEndian.Uint32(hello[:])), conn)
 	}
 }
 
-// addConn registers a connection for neighbor nid, resolving duplicates
-// deterministically: the canonical connection for a pair is the one dialed
-// by the higher-id peer, so when both sides re-dial concurrently both
-// independently keep the same TCP connection. Returns false if the
-// connection was rejected (peer closed, or a canonical duplicate already
-// exists).
-func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
+// addConn registers a connection for neighbor nid. A connection still
+// registered for nid is replaced: the remote re-dialed before our read
+// loop saw the old connection die, so its death is counted here (the old
+// read loop finds itself superseded and exits quietly). Every connection
+// registered after the link's first is a reconnect: frames may have died
+// with the old connection, and the neighbor needs the full-parameter
+// refresh the reconnect handler schedules.
+func (p *Peer) addConn(nid int, conn net.Conn) {
 	// Disable Nagle explicitly on every registered conn, dialed or
 	// accepted. Go's dialer does this by default, but the round loop's
 	// latency budget depends on it (a delayed small frame stalls the
@@ -477,41 +482,24 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	canonical := dialed == (p.id > nid)
 	p.mu.Lock()
 	select {
 	case <-p.closed:
 		p.mu.Unlock()
 		conn.Close()
-		return false
+		return
 	default:
 	}
-	old, existed := p.conns[nid]
-	if existed {
-		oldCanonical := old.dialed == (p.id > nid)
-		if oldCanonical && !canonical {
-			p.mu.Unlock()
-			conn.Close()
-			return false
-		}
-		// Replace: the old conn's readLoop will exit and see it has been
-		// superseded (identity check in removeConn), so no reconnect is
-		// spawned for it.
-		old.conn.Close()
-	}
-	pc := &peerConn{conn: conn, dialed: dialed}
 	st := p.statsFor(nid)
 	lm := p.linkMetricsFor(nid)
-	// A link heals in one of two ways: a new connection fills an empty
-	// slot the link had before (the read loop already evicted the dead
-	// conn), or — when the remote's re-dial outraces our read loop's
-	// error — a canonical duplicate replaces a connection that is still
-	// registered. Initial connection establishment never produces
-	// replacements (only the higher-id peer dials), so a replacement is
-	// always a reconnection race and must fire the same down→up handling:
-	// frames may have died with the old connection, and the neighbor
-	// needs the full-parameter refresh.
-	reconnected := existed || st.Connects > 0
+	old, replaced := p.conns[nid]
+	if replaced {
+		old.conn.Close()
+		st.Disconnects++
+		lm.disconnects.Inc()
+	}
+	pc := &peerConn{conn: conn}
+	reconnected := st.Connects > 0
 	st.Connects++
 	lm.connects.Inc()
 	var downFor time.Duration
@@ -522,42 +510,73 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 			downFor = time.Since(since)
 			delete(p.downSince, nid)
 		}
+		p.reconnected[nid] = true
 	}
 	p.conns[nid] = pc
 	// wg.Add under p.mu, ordered against Close's close(p.closed) (also
 	// under p.mu): either we observed closed above and bailed, or this Add
 	// happens before Close's wg.Wait can see a zero counter.
 	p.wg.Add(1)
-	cb := p.onReconnect
 	o, reconnH := p.obs, p.reconnLatH
 	p.mu.Unlock()
 	go p.readLoop(nid, pc)
 	p.notifyMembership()
-	if reconnected {
-		// downFor is zero when the remote re-dialed before our read loop
-		// evicted the dead conn (replacement path): no downtime was
-		// observable, so none is recorded in the latency histogram.
-		if downFor > 0 {
-			reconnH.Observe(downFor.Seconds())
-		}
-		if o.LogEnabled() {
-			f := obs.GetFields()
-			f["down_seconds"] = downFor.Seconds()
-			o.Emit(p.id, obs.EvReconnect, -1, nid, f)
-			obs.PutFields(f)
-		}
-	} else {
+	if replaced {
+		o.Emit(p.id, obs.EvLinkDown, -1, nid, nil)
+	}
+	if !reconnected {
 		o.Emit(p.id, obs.EvLinkUp, -1, nid, nil)
+		return
 	}
-	if reconnected && cb != nil {
-		cb(nid)
+	// downFor is zero on the replacement path: no downtime was
+	// observable, so none is recorded in the latency histogram.
+	if downFor > 0 {
+		reconnH.Observe(downFor.Seconds())
 	}
-	return true
+	if o.LogEnabled() {
+		f := obs.GetFields()
+		f["down_seconds"] = downFor.Seconds()
+		o.Emit(p.id, obs.EvReconnect, -1, nid, f)
+		obs.PutFields(f)
+	}
+	select {
+	case p.reconnKick <- struct{}{}:
+	default:
+	}
+}
+
+// reconnectNotifier runs the reconnect handler off the transport
+// goroutines: addConn only marks the neighbor and nudges this loop. A
+// handler that blocks (say, on a full channel) therefore cannot wedge
+// the accept loop, a read loop, or Close, which does not wait for this
+// goroutine.
+func (p *Peer) reconnectNotifier() {
+	for {
+		select {
+		case <-p.closed:
+			return
+		case <-p.reconnKick:
+		}
+		p.mu.Lock()
+		fn := p.onReconnect
+		ids := make([]int, 0, len(p.reconnected))
+		for nid := range p.reconnected {
+			ids = append(ids, nid)
+		}
+		clear(p.reconnected)
+		p.mu.Unlock()
+		sort.Ints(ids)
+		for _, nid := range ids {
+			if fn != nil {
+				fn(nid)
+			}
+		}
+	}
 }
 
 // removeConn evicts pc if it is still the registered connection for nid,
-// and — unless the peer is closing — spawns a reconnect loop so the link
-// heals itself.
+// and — if this peer is the link's dialer and is not closing — spawns a
+// reconnect loop so the link heals itself.
 func (p *Peer) removeConn(nid int, pc *peerConn) {
 	p.mu.Lock()
 	cur, ok := p.conns[nid]
@@ -577,7 +596,7 @@ func (p *Peer) removeConn(nid int, pc *peerConn) {
 	select {
 	case <-p.closed:
 	default:
-		if haveAddr && !p.redialing[nid] {
+		if haveAddr && p.id < nid && !p.redialing[nid] {
 			p.redialing[nid] = true
 			p.wg.Add(1)
 			spawn = true
@@ -593,9 +612,8 @@ func (p *Peer) removeConn(nid int, pc *peerConn) {
 }
 
 // reconnectLoop re-dials a dead neighbor link with exponential backoff and
-// jitter until the link is up again (dialed by us or re-accepted from the
-// other side) or the peer closes. Either side of a link runs this; the
-// canonical-connection rule in addConn dedups concurrent re-dials.
+// jitter until the link is up again or the peer closes. Only the link's
+// dialer (the lower-id peer) runs it.
 func (p *Peer) reconnectLoop(nid int, addr string) {
 	defer p.wg.Done()
 	defer func() {
@@ -624,14 +642,14 @@ func (p *Peer) reconnectLoop(nid int, addr string) {
 		_, wanted := p.addrs[nid]
 		p.mu.Unlock()
 		if up {
-			return // the other side reconnected to us
+			return // a Connect dial healed the link meanwhile
 		}
 		if !wanted {
 			return // neighbor was Dropped; stop trying to revive the link
 		}
 		conn, err := p.dialOnce(addr, time.Now().Add(dialAttemptTimeout))
 		if err == nil {
-			p.addConn(nid, conn, true)
+			p.addConn(nid, conn)
 			return
 		}
 		// Full jitter on top of the exponential base keeps a partitioned
@@ -654,7 +672,7 @@ func (p *Peer) reconnectLoop(nid int, addr string) {
 	}
 }
 
-// notifyMembership nudges a blocked Gather to re-evaluate the connection
+// notifyMembership nudges a blocked GatherStream to re-evaluate the connection
 // set. Non-blocking: a single pending nudge is enough.
 func (p *Peer) notifyMembership() {
 	select {
@@ -664,8 +682,8 @@ func (p *Peer) notifyMembership() {
 }
 
 // readLoop parses length-prefixed frames: [len u32][round u32][payload].
-// On any read error the connection is evicted from the registry (so Gather
-// stops counting it) and a reconnect loop takes over.
+// On any read error the connection is evicted from the registry (so
+// GatherStream stops counting it) and a reconnect loop takes over.
 func (p *Peer) readLoop(from int, pc *peerConn) {
 	defer p.wg.Done()
 	defer p.removeConn(from, pc)
@@ -822,44 +840,26 @@ func (p *Peer) expectedConns() []int {
 	return ids
 }
 
-// Gather blocks until a frame for the given round has arrived from every
-// currently connected *expected* neighbor (see expectedConns), or the
-// timeout elapses; it returns whatever arrived (possibly empty). Frames
-// from other rounds are buffered for their own Gather calls. The expected
-// count is re-evaluated whenever the connection set changes, so a
-// neighbor that dies mid-round costs at most this one timeout —
-// subsequent rounds no longer wait for it.
+// GatherStream waits until a frame for the given round has arrived from
+// every currently connected *expected* neighbor (see expectedConns), or
+// the timeout elapses, invoking deliver with (sender, frame) as each of
+// the round's frames arrives. This is what lets a caller decode and
+// integrate frame i while frame i+1 is still on the wire. deliver
+// returning false aborts the stream early. The return values are the
+// number of frames delivered and the number the stream was waiting for
+// when it returned (got < want means stragglers).
 //
-// Gather is a thin batch adapter over GatherStream; all fault semantics
-// (dead-link re-evaluation, mid-wait membership changes, withholding of
-// unexpected senders) live in the streaming core.
-func (p *Peer) Gather(round int, timeout time.Duration) map[int][]byte {
-	got := make(map[int][]byte)
-	p.GatherStream(round, timeout, func(from int, frame []byte) bool {
-		got[from] = frame
-		return true
-	})
-	return got
-}
-
-// GatherStream is the streaming form of Gather: deliver is invoked with
-// (sender, frame) as each of the round's frames arrives, instead of the
-// frames being batched until the round completes. This is what lets a
-// caller decode and integrate frame i while frame i+1 is still on the
-// wire. deliver returning false aborts the stream early. The return
-// values are the number of frames delivered and the number the stream
-// was waiting for when it returned (got < want means stragglers).
+// At most one frame per sender is delivered per call; frames from
+// senders outside the expected neighbor set are withheld, left buffered
+// for a later epoch; frames from other rounds are buffered for their own
+// calls. The expected count is re-evaluated on every membership change,
+// so a neighbor that dies mid-round costs at most this one timeout.
+// Frames stay buffered until ForgetRound, so a repeated call for the
+// same round re-delivers them. Frame ownership transfers to deliver —
+// the caller recycles (or retains) each frame it is handed.
 //
-// Semantics match the historical batch Gather exactly: at most one frame
-// per sender per call; frames from senders outside the expected neighbor
-// set (see expectedConns) are withheld, left buffered for a later epoch;
-// the expected count is re-evaluated on every membership change; frames
-// stay buffered until ForgetRound, so a repeated call for the same round
-// re-delivers them. Frame ownership transfers to deliver — the caller
-// recycles (or retains) each frame it is handed.
-//
-// GatherStream, Gather, and the deliver callback run on the caller's
-// goroutine; the transport never calls deliver concurrently.
+// GatherStream and the deliver callback run on the caller's goroutine;
+// the transport never calls deliver concurrently.
 func (p *Peer) GatherStream(round int, timeout time.Duration, deliver func(from int, frame []byte) bool) (got, want int) {
 	start := time.Now()
 	got, want = p.gatherStream(round, timeout, deliver)

@@ -11,6 +11,17 @@ import (
 
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// gather collects a round's frames through GatherStream into a map keyed
+// by sender.
+func gather(p *Peer, round int, timeout time.Duration) map[int][]byte {
+	got := make(map[int][]byte)
+	p.GatherStream(round, timeout, func(from int, frame []byte) bool {
+		got[from] = frame
+		return true
+	})
+	return got
+}
+
 // startPeers launches n fully connected TCP peers on loopback.
 func startPeers(t *testing.T, n int) []*Peer {
 	t.Helper()
@@ -61,7 +72,7 @@ func TestPeerBroadcastGather(t *testing.T) {
 				t.Errorf("broadcast %d: %v", i, err)
 				return
 			}
-			results[i] = p.Gather(0, 5*time.Second)
+			results[i] = gather(p, 0, 5*time.Second)
 		}(i, p)
 	}
 	wg.Wait()
@@ -87,11 +98,11 @@ func TestPeerRoundSeparation(t *testing.T) {
 	if err := peers[0].Send(1, 2, []byte("r2")); err != nil {
 		t.Fatal(err)
 	}
-	got1 := peers[1].Gather(1, 2*time.Second)
+	got1 := gather(peers[1], 1, 2*time.Second)
 	if string(got1[0]) != "r1" {
 		t.Errorf("round 1 gather = %v", got1)
 	}
-	got2 := peers[1].Gather(2, 2*time.Second)
+	got2 := gather(peers[1], 2, 2*time.Second)
 	if string(got2[0]) != "r2" {
 		t.Errorf("round 2 gather = %v", got2)
 	}
@@ -104,7 +115,7 @@ func TestPeerGatherTimeoutOnStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	got := peers[0].Gather(0, 300*time.Millisecond)
+	got := gather(peers[0], 0, 300*time.Millisecond)
 	elapsed := time.Since(start)
 	if len(got) != 1 || string(got[1]) != "present" {
 		t.Errorf("gather = %v, want only peer 1's frame", got)
@@ -134,12 +145,12 @@ func TestPeerForgetRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the frame arrive and be buffered.
-	got := peers[1].Gather(0, 2*time.Second)
+	got := gather(peers[1], 0, 2*time.Second)
 	if len(got) != 1 {
 		t.Fatalf("gather = %v", got)
 	}
 	peers[1].ForgetRound(0)
-	if got := peers[1].Gather(0, 50*time.Millisecond); len(got) != 0 {
+	if got := gather(peers[1], 0, 50*time.Millisecond); len(got) != 0 {
 		t.Errorf("forgotten round still gathered: %v", got)
 	}
 }
@@ -192,7 +203,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestPeerEvictsDeadConn kills one peer and checks the survivor evicts the
-// connection: Healthy flips false, Gather no longer counts the dead
+// connection: Healthy flips false, gathers no longer count the dead
 // neighbor (so it returns as soon as live neighbors report), and
 // Broadcast stops erroring.
 func TestPeerEvictsDeadConn(t *testing.T) {
@@ -203,12 +214,12 @@ func TestPeerEvictsDeadConn(t *testing.T) {
 		return !peers[0].Healthy(2) && !peers[1].Healthy(2)
 	})
 
-	// Gather must not wait the full timeout for the evicted neighbor.
+	// The gather must not wait the full timeout for the evicted neighbor.
 	if err := peers[1].Send(0, 0, []byte("live")); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	got := peers[0].Gather(0, 10*time.Second)
+	got := gather(peers[0], 0, 10*time.Second)
 	elapsed := time.Since(start)
 	if len(got) != 1 || string(got[1]) != "live" {
 		t.Fatalf("gather = %v, want only the live neighbor's frame", got)
@@ -230,8 +241,8 @@ func TestPeerEvictsDeadConn(t *testing.T) {
 
 // TestPeerReconnectAfterReset resets the only connection of a two-peer
 // pair via fault injection and checks that the link heals itself with
-// backoff, fires the reconnect handler on both sides, and carries frames
-// again.
+// backoff, fires the reconnect handler, carries frames again, and leaves
+// both peers' link counters on the identity Connects == Disconnects + 1.
 func TestPeerReconnectAfterReset(t *testing.T) {
 	peers := startPeers(t, 2)
 
@@ -265,12 +276,57 @@ func TestPeerReconnectAfterReset(t *testing.T) {
 		if err := peers[0].Send(1, 1, []byte("healed")); err != nil {
 			return false
 		}
-		got := peers[1].Gather(1, time.Second)
+		got := gather(peers[1], 1, time.Second)
 		return string(got[0]) == "healed"
 	})
 
-	if st := peers[0].Stats()[1]; st.Reconnects < 1 || st.Disconnects < 1 {
-		t.Errorf("peer 0 link stats = %+v, want at least one disconnect and reconnect", st)
+	for i, p := range peers {
+		st := p.Stats()[1-i]
+		if st.Reconnects < 1 || st.Disconnects < 1 || st.Connects != st.Disconnects+1 {
+			t.Errorf("peer %d link stats = %+v, want at least one disconnect and reconnect, and Connects == Disconnects+1 on the live link", i, st)
+		}
+	}
+}
+
+// TestPeerBlockedReconnectHandlerCannotWedgeClose gives both peers a
+// reconnect handler that never returns, resets their link, and checks
+// the link still heals and Close still returns: the handler runs on a
+// goroutine of its own, not on the accept or reconnect loop Close waits
+// for.
+func TestPeerBlockedReconnectHandlerCannotWedgeClose(t *testing.T) {
+	peers := startPeers(t, 2)
+	release := make(chan struct{})
+	defer close(release)
+	called := make(chan int, len(peers))
+	for _, p := range peers {
+		p.SetReconnectHandler(func(nid int) {
+			called <- nid
+			<-release
+		})
+	}
+	peers[0].SetFaults(NewFaultSet().Add(FaultRule{Peer: 1, Round: 0, Action: FaultReset}))
+	if err := peers[0].Send(1, 0, []byte("doomed")); err == nil {
+		t.Fatal("send through injected reset succeeded, want error")
+	}
+	waitFor(t, 10*time.Second, "link to heal", func() bool {
+		return peers[0].Healthy(1) && peers[1].Healthy(0)
+	})
+	select {
+	case <-called:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reconnect handler never fired")
+	}
+
+	closed := make(chan error, len(peers))
+	for _, p := range peers {
+		go func(p *Peer) { closed <- p.Close() }(p)
+	}
+	for range peers {
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close wedged behind a blocked reconnect handler")
+		}
 	}
 }
 
@@ -351,7 +407,7 @@ func TestPeerManyRoundsUnderLoad(t *testing.T) {
 					failures[i] = err
 					return
 				}
-				got := p.Gather(r, 5*time.Second)
+				got := gather(p, r, 5*time.Second)
 				if len(got) != 3 {
 					failures[i] = fmt.Errorf("round %d: got %d frames", r, len(got))
 					return

@@ -14,7 +14,7 @@ import (
 // dialRaw opens a raw TCP connection to p and completes the hello
 // handshake as neighbor id, returning the socket for hand-crafted
 // frames. The peer must already know the id as a neighbor address (via
-// Connect) or the frames will be withheld from Gather.
+// Connect) or the frames will be withheld from GatherStream.
 func dialRaw(t *testing.T, p *Peer, id int) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", p.Addr())
@@ -63,7 +63,7 @@ func TestOldFormatFrameAgainstTracedPeer(t *testing.T) {
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	got := p.Gather(3, 2*time.Second)
+	got := gather(p, 3, 2*time.Second)
 	if !bytes.Equal(got[1], payload) {
 		t.Fatalf("gathered %q, want %q", got[1], payload)
 	}
@@ -192,8 +192,8 @@ func TestTracedPeersEndToEnd(t *testing.T) {
 	if err := peers[1].Send(0, 4, []byte("one->zero")); err != nil {
 		t.Fatal(err)
 	}
-	got0 := peers[0].Gather(4, 2*time.Second)
-	got1 := peers[1].Gather(4, 2*time.Second)
+	got0 := gather(peers[0], 4, 2*time.Second)
+	got1 := gather(peers[1], 4, 2*time.Second)
 	if string(got0[1]) != "one->zero" || string(got1[0]) != "zero->one" {
 		t.Fatalf("payloads corrupted: %q / %q", got0[1], got1[0])
 	}
@@ -223,7 +223,7 @@ func TestTracedToTracelessPeer(t *testing.T) {
 	if err := peers[0].Send(1, 2, []byte("traced-to-plain")); err != nil {
 		t.Fatal(err)
 	}
-	got := peers[1].Gather(2, 2*time.Second)
+	got := gather(peers[1], 2, 2*time.Second)
 	if string(got[0]) != "traced-to-plain" {
 		t.Fatalf("gathered %q", got[0])
 	}
